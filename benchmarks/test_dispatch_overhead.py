@@ -22,6 +22,7 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 
 import repro
 from repro import framework as fw
@@ -265,3 +266,83 @@ def test_microbatcher_dispatch_has_no_per_call_feed_dicts(results):
         f"(ceiling {CEILING_SECONDS * 1e6:.0f}us) — the worker path has "
         "regressed far beyond queue-hand-off cost"
     )
+
+
+CHAIN_TABLE = "Engine at size (six-stage elementwise chain, per-call)"
+CHAIN_STAGES = 6
+
+
+@pytest.mark.parametrize("n", [384, 1536])
+def test_engine_chain_at_size_tracks_numpy(results, n):
+    """The engine against raw NumPy on the same arrays, at sizes where
+    kernels and the allocator do the work: six stages of
+    ``tanh(x*x + exp(-x))`` on an ``n x n`` float32 array, compiled
+    fused and unfused through ``compile_plan`` → ``BoundPlan``, beside
+    the same math written as plain NumPy expressions.
+
+    Gates are same-run ratios, so they hold on any runner: fused within
+    1.3x of raw NumPy, and fused within 1.1x of unfused.  The arena is
+    what makes the first one hold — without it every intermediate is a
+    fresh multi-page allocation.
+    """
+    from repro.framework import ops
+    from repro.runtime import BoundPlan, compile_plan
+
+    MAX_VS_NUMPY = 1.3
+    MAX_VS_UNFUSED = 1.1
+
+    g = fw.Graph()
+    with g.as_default():
+        x = ops.placeholder(fw.float32, [n, n])
+        h = x
+        for _ in range(CHAIN_STAGES):
+            h = ops.tanh(ops.add(ops.multiply(h, h),
+                                 ops.exp(ops.negative(h))))
+    fused = BoundPlan(compile_plan(g, [h], [x]), [x])
+    unfused = BoundPlan(compile_plan(g, [h], [x], fuse=False), [x])
+
+    def numpy_chain(v):
+        for _ in range(CHAIN_STAGES):
+            v = np.tanh(v * v + np.exp(-v))
+        return v
+
+    arg = np.random.default_rng(n).standard_normal((n, n)).astype(np.float32)
+    want = numpy_chain(arg)
+    assert fused.execute_flat([arg])[0].tobytes() == want.tobytes()
+    assert unfused.execute_flat([arg])[0].tobytes() == want.tobytes()
+
+    variants = {
+        "fused": lambda: fused.execute_flat([arg]),
+        "unfused": lambda: unfused.execute_flat([arg]),
+        "raw NumPy": lambda: numpy_chain(arg),
+    }
+    calls = scaled(20, 5) if n <= 384 else scaled(4, 2)
+    best = dict.fromkeys(variants, float("inf"))
+    # Interleaved rounds: a slow stretch of the machine hits every
+    # variant alike instead of deciding one of them.
+    for _ in range(scaled(7, 5)):
+        for name, run in variants.items():
+            start = time.perf_counter()
+            for _ in range(calls):
+                run()
+            best[name] = min(best[name],
+                             (time.perf_counter() - start) / calls)
+
+    row = f"{n}x{n}"
+    for name, t in best.items():
+        results.record(CHAIN_TABLE, f"{row}, {name}", "per-call ms",
+                       t * 1e3, unit="ms")
+    vs_numpy = best["fused"] / best["raw NumPy"]
+    vs_unfused = best["fused"] / best["unfused"]
+    results.record(CHAIN_TABLE, f"{row}, fused", "vs raw NumPy", vs_numpy,
+                   unit="x")
+    results.record(CHAIN_TABLE, f"{row}, fused", "vs unfused", vs_unfused,
+                   unit="x")
+    assert vs_numpy <= MAX_VS_NUMPY, (
+        f"{row}: fused {best['fused'] * 1e3:.2f}ms vs raw NumPy "
+        f"{best['raw NumPy'] * 1e3:.2f}ms = {vs_numpy:.2f}x "
+        f"(> {MAX_VS_NUMPY}x)")
+    assert vs_unfused <= MAX_VS_UNFUSED, (
+        f"{row}: fused {best['fused'] * 1e3:.2f}ms vs unfused "
+        f"{best['unfused'] * 1e3:.2f}ms = {vs_unfused:.2f}x "
+        f"(> {MAX_VS_UNFUSED}x)")

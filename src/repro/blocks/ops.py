@@ -293,7 +293,6 @@ def matmul(a, b, scheduler=None):
             b.shape, (a.grid.splits[1], b.grid.splits[1])))
 
     mm = registry.get_op_def("MatMul")
-    add_ik = registry.get_op_def("Add").inplace_kernel
     rows = a.grid.splits[0]
     cols = b.grid.splits[1]
     gk = len(a.grid.splits[1])
@@ -307,8 +306,8 @@ def matmul(a, b, scheduler=None):
             parts.append(mm.inplace_kernel(
                 a.block((i, q)), b.block((q, j)), out=buf))
         # Buffers are owned by this call, so the tree accumulates into
-        # its left operand via the Add in-place kernel.
-        return pair_tree(parts, lambda x, y: add_ik(x, y, out=x))
+        # its left operand in place.
+        return pair_tree(parts, lambda x, y: np.add(x, y, out=x))
 
     tasks = [(i, j) for i in range(len(rows)) for j in range(len(cols))]
     blocks = _sched(scheduler).map(one_tile, tasks)

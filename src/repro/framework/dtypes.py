@@ -8,6 +8,8 @@ identical type metadata regardless of how they are executed.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "variant",
     "as_dtype",
     "from_numpy",
+    "numpy_result_dtype",
     "result_dtype",
 ]
 
@@ -126,16 +129,48 @@ def from_numpy(np_dtype):
         raise TypeError(f"Unsupported NumPy dtype: {np_dtype}") from None
 
 
-# Promotion lattice: bool < int32 < int64 < float32 < float64.
-_PROMOTION_ORDER = {"bool": 0, "int32": 1, "int64": 2, "float32": 3, "float64": 4}
+@functools.lru_cache(maxsize=1024)
+def _ufunc_result(ufunc, np_dtypes):
+    with np.errstate(all="ignore"):
+        # (1, 1) operands suit elementwise ufuncs and ``matmul`` alike;
+        # 0-d operands would return NumPy scalars of the same dtype.
+        out = ufunc(*(np.ones((1, 1), dt) for dt in np_dtypes))
+    return out.dtype
 
 
-def result_dtype(a, b):
-    """Binary-op result type, following a simple promotion lattice."""
-    a = as_dtype(a)
-    b = as_dtype(b)
-    if a == b:
-        return a
-    if a.name not in _PROMOTION_ORDER or b.name not in _PROMOTION_ORDER:
-        raise TypeError(f"No promotion rule for {a} and {b}")
-    return a if _PROMOTION_ORDER[a.name] >= _PROMOTION_ORDER[b.name] else b
+def numpy_result_dtype(np_dtypes, ufunc=None):
+    """The NumPy dtype an operation on arrays of ``np_dtypes`` returns.
+
+    With ``ufunc`` this is the dtype that ufunc really produces (its own
+    loop resolution, so ``exp(int32)`` is float64 and ``sqrt(bool)`` is
+    float16); without, plain NumPy promotion (``np.result_type``, NEP 50
+    semantics under NumPy 2).  ``None`` when any dtype is unknown or the
+    ufunc has no loop for these inputs.  This is the one promotion rule
+    of the framework: static ``dtype_fn`` inference, the fusion pass and
+    the runtime arena's dtype proofs all go through it.
+    """
+    if any(dt is None for dt in np_dtypes):
+        return None
+    np_dtypes = tuple(np.dtype(dt) for dt in np_dtypes)
+    try:
+        if ufunc is None:
+            return np.result_type(*np_dtypes)
+        return _ufunc_result(ufunc, np_dtypes)
+    except (TypeError, ValueError):
+        return None
+
+
+def result_dtype(*dts, ufunc=None):
+    """The framework dtype an op over operands of ``dts`` produces,
+    following :func:`numpy_result_dtype` (so int32 + float32 is float64,
+    exactly what the NumPy kernels return).
+
+    Raises:
+      TypeError: when the operands have no NumPy dtype or no promotion.
+    """
+    np_dts = [as_dtype(d).np_dtype for d in dts]
+    out = numpy_result_dtype(np_dts, ufunc)
+    if out is None:
+        raise TypeError(
+            f"No promotion rule for {', '.join(str(as_dtype(d)) for d in dts)}")
+    return from_numpy(out)

@@ -37,103 +37,64 @@ def _first_dtype_fn(input_dtypes, attrs):
     return [input_dtypes[0]]
 
 
-def _promote_dtype_fn(input_dtypes, attrs):
-    try:
-        return [dtypes.result_dtype(input_dtypes[0], input_dtypes[1])]
-    except TypeError:
-        return [input_dtypes[0]]
-
-
 def _bool_dtype_fn(input_dtypes, attrs):
     return [dtypes.bool_]
 
 
-def _binary(name, fn, *, grad_capable_dtype=_promote_dtype_fn,
-            inplace_kernel=None, fusable=None):
-    # NumPy ufunc binaries always allocate their result (fresh_output),
-    # so their outputs are safe buffer-donation targets.
-    register_op(
-        name,
-        fn,
-        shape_fn=_broadcast_shape_fn,
-        dtype_fn=grad_capable_dtype,
-        inplace_kernel=inplace_kernel,
-        fresh_output=True,
-        fusable=fusable,
-    )
+def _ufunc_dtype_fn(ufunc):
+    """Static dtype inference that asks ``ufunc`` itself (NumPy's own
+    promotion, :func:`dtypes.result_dtype`), so ``int32 + float32`` is
+    float64 and ``exp(int32)`` is float64 — what the kernel returns."""
+    def dtype_fn(input_dtypes, attrs):
+        try:
+            return [dtypes.result_dtype(*input_dtypes, ufunc=ufunc)]
+        except TypeError:
+            # No loop for these inputs: the kernel raises at run time.
+            return [input_dtypes[0]]
+
+    return dtype_fn
 
 
-def _unary(name, fn, *, dtype_fn=_first_dtype_fn, inplace_kernel=None,
-           fusable=None):
-    register_op(name, fn, shape_fn=_same_shape_fn, dtype_fn=dtype_fn,
-                inplace_kernel=inplace_kernel, fresh_output=True,
-                fusable=fusable)
-
-
-def _ufunc_out(ufunc):
-    """An ``out=``-accepting in-place variant for a NumPy ufunc kernel.
-
-    Safe only for elementwise ufuncs: NumPy guarantees correct results
-    when ``out`` aliases an input for these (same-shape, same-dtype use —
-    the runtime planner enforces both before donating a buffer).
-    """
-    def inplace_kernel(*args, out):
-        return ufunc(*args, out=out)
-
-    return inplace_kernel
+def _elementwise(name, ufunc, *, fusable=True, kernel=None):
+    """Register a ufunc-backed elementwise op.  Its kernel allocates its
+    result (``fresh_output``); ``fusable`` ops are exactly
+    ``ufunc(*inputs)``, which gives the fusion pass and the runtime arena
+    their ``out=`` variant."""
+    if kernel is None:
+        kernel = (lambda a: ufunc(a)) if ufunc.nin == 1 else (
+            lambda a, b: ufunc(a, b))
+    register_op(name, kernel,
+                shape_fn=_same_shape_fn if ufunc.nin == 1
+                else _broadcast_shape_fn,
+                dtype_fn=_ufunc_dtype_fn(ufunc), fresh_output=True,
+                fusable=ufunc if fusable else None)
 
 
 # ---------------------------------------------------------------------------
 # Arithmetic
 # ---------------------------------------------------------------------------
 
-_binary("Add", lambda a, b: np.add(a, b), inplace_kernel=_ufunc_out(np.add),
-        fusable=np.add)
-_binary("Sub", lambda a, b: np.subtract(a, b),
-        inplace_kernel=_ufunc_out(np.subtract), fusable=np.subtract)
-_binary("Mul", lambda a, b: np.multiply(a, b),
-        inplace_kernel=_ufunc_out(np.multiply), fusable=np.multiply)
-_binary("Pow", lambda a, b: np.power(a, b))
-_binary("Maximum", lambda a, b: np.maximum(a, b),
-        inplace_kernel=_ufunc_out(np.maximum), fusable=np.maximum)
-_binary("Minimum", lambda a, b: np.minimum(a, b),
-        inplace_kernel=_ufunc_out(np.minimum), fusable=np.minimum)
+_elementwise("Add", np.add)
+_elementwise("Sub", np.subtract)
+_elementwise("Mul", np.multiply)
+_elementwise("Pow", np.power, fusable=False)
+_elementwise("Maximum", np.maximum)
+_elementwise("Minimum", np.minimum)
 
 
 def _div_kernel(a, b):
-    a = np.asarray(a)
-    out = np.true_divide(a, b)
-    return out
+    return np.true_divide(np.asarray(a), b)
 
 
-register_op("Div", _div_kernel, shape_fn=_broadcast_shape_fn,
-            dtype_fn=lambda dts, attrs: [dts[0] if dts[0].is_floating else dtypes.float64],
-            fresh_output=True)
+_elementwise("Div", np.true_divide, fusable=False, kernel=_div_kernel)
+_elementwise("FloorDiv", np.floor_divide, fusable=False)
+_elementwise("Mod", np.mod, fusable=False)
 
-
-def _floordiv_kernel(a, b):
-    return np.floor_divide(a, b)
-
-
-register_op("FloorDiv", _floordiv_kernel, shape_fn=_broadcast_shape_fn,
-            dtype_fn=_promote_dtype_fn, fresh_output=True)
-_binary("Mod", lambda a, b: np.mod(a, b))
-
-_unary("Neg", lambda a: np.negative(a),
-       inplace_kernel=_ufunc_out(np.negative), fusable=np.negative)
-_unary("Abs", lambda a: np.abs(a), inplace_kernel=_ufunc_out(np.abs),
-       fusable=np.absolute)
-_unary("Exp", lambda a: np.exp(a), inplace_kernel=_ufunc_out(np.exp),
-       fusable=np.exp)
-
-
-def _log_kernel(a):
-    return np.log(a)
-
-
-_unary("Log", _log_kernel)
-_unary("Tanh", lambda a: np.tanh(a), inplace_kernel=_ufunc_out(np.tanh),
-       fusable=np.tanh)
+_elementwise("Neg", np.negative)
+_elementwise("Abs", np.absolute)
+_elementwise("Exp", np.exp)
+_elementwise("Log", np.log, fusable=False)
+_elementwise("Tanh", np.tanh)
 
 
 def _sigmoid_kernel(a):
@@ -153,26 +114,32 @@ def _sigmoid(a):
     return _sigmoid_kernel(a)
 
 
-_unary("Sigmoid", _sigmoid)
-_unary("Relu", lambda a: np.maximum(a, np.zeros((), dtype=np.asarray(a).dtype)))
-_unary("Sqrt", lambda a: np.sqrt(a), fusable=np.sqrt)
-_unary("Square", lambda a: np.square(a), fusable=np.square)
-_unary("Sign", lambda a: np.sign(a))
-_unary("Floor", lambda a: np.floor(a))
+register_op("Sigmoid", _sigmoid, shape_fn=_same_shape_fn,
+            dtype_fn=lambda dts, attrs: [
+                dts[0] if dts[0].is_floating else dtypes.float32],
+            fresh_output=True)
+register_op("Relu",
+            lambda a: np.maximum(a, np.zeros((), dtype=np.asarray(a).dtype)),
+            shape_fn=_same_shape_fn, dtype_fn=_first_dtype_fn,
+            fresh_output=True)
+_elementwise("Sqrt", np.sqrt)
+_elementwise("Square", np.square)
+_elementwise("Sign", np.sign, fusable=False)
+_elementwise("Floor", np.floor, fusable=False)
 
 # ---------------------------------------------------------------------------
 # Comparison / logical
 # ---------------------------------------------------------------------------
 
-register_op("Greater", lambda a, b: np.greater(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.greater)
-register_op("GreaterEqual", lambda a, b: np.greater_equal(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.greater_equal)
-register_op("Less", lambda a, b: np.less(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.less)
-register_op("LessEqual", lambda a, b: np.less_equal(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.less_equal)
-register_op("Equal", lambda a, b: np.equal(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.equal)
-register_op("NotEqual", lambda a, b: np.not_equal(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn, fusable=np.not_equal)
-register_op("LogicalAnd", lambda a, b: np.logical_and(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn)
-register_op("LogicalOr", lambda a, b: np.logical_or(a, b), shape_fn=_broadcast_shape_fn, dtype_fn=_bool_dtype_fn)
-register_op("LogicalNot", lambda a: np.logical_not(a), shape_fn=_same_shape_fn, dtype_fn=_bool_dtype_fn)
+_elementwise("Greater", np.greater)
+_elementwise("GreaterEqual", np.greater_equal)
+_elementwise("Less", np.less)
+_elementwise("LessEqual", np.less_equal)
+_elementwise("Equal", np.equal)
+_elementwise("NotEqual", np.not_equal)
+_elementwise("LogicalAnd", np.logical_and, fusable=False)
+_elementwise("LogicalOr", np.logical_or, fusable=False)
+_elementwise("LogicalNot", np.logical_not, fusable=False)
 
 # ---------------------------------------------------------------------------
 # Linear algebra
@@ -194,9 +161,9 @@ def _matmul_kernel(a, b, transpose_a=False, transpose_b=False):
 
 
 def _matmul_out(a, b, out, transpose_a=False, transpose_b=False):
-    # BLAS writes directly into ``out``; unlike the elementwise ufunc
-    # variants this is only correct when ``out`` does not alias either
-    # operand — hence inplace_no_alias below: the planner donates only
+    # BLAS writes directly into ``out``; unlike the elementwise ufuncs
+    # this is only correct when ``out`` does not alias either operand —
+    # MatMul is not ``fusable``, so the runtime arena only hands it
     # buffers that are fully dead before this step runs.
     a = np.asarray(a)
     b = np.asarray(b)
@@ -216,8 +183,8 @@ def _matmul_shape_fn(input_shapes, attrs):
     return [shapes.TensorShape([m, n])]
 
 
-register_op("MatMul", _matmul_kernel, shape_fn=_matmul_shape_fn, dtype_fn=_promote_dtype_fn,
-            inplace_kernel=_matmul_out, inplace_no_alias=True,
+register_op("MatMul", _matmul_kernel, shape_fn=_matmul_shape_fn,
+            dtype_fn=_ufunc_dtype_fn(np.matmul), inplace_kernel=_matmul_out,
             fresh_output=True)
 
 

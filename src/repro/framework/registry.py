@@ -35,31 +35,30 @@ class OpDef:
       dtype_fn: optional ``fn(input_dtypes, attrs) -> [DType]``.
       stateful: True for ops with side effects (variables, random, print);
         stateful ops are never deduplicated or constant-folded.
-      inplace_kernel: optional ``fn(*input_values, out=buffer)`` variant
-        writing the result into ``out`` (same shape/dtype as the result).
-        The runtime planner uses it to reuse an intermediate's buffer
-        instead of allocating.  Elementwise ufunc kernels tolerate
-        ``out`` aliasing an input and may be donated a dying input's
-        buffer; kernels that do NOT tolerate aliasing (BLAS-backed
-        ``MatMul``) must also set ``inplace_no_alias`` so the planner
-        only donates buffers that are fully dead before the step runs.
-      inplace_no_alias: True when ``inplace_kernel`` requires ``out`` to
-        be disjoint from every input (e.g. ``np.matmul(..., out=)``).
+      inplace_kernel: optional ``fn(*input_values, out)`` variant writing
+        the result into the caller's buffer ``out`` (passed positionally
+        after the inputs, or as ``out=``) for a kernel that is not
+        ``fusable`` (``MatMul``).  Such kernels need not tolerate ``out``
+        aliasing an input, so the runtime arena only hands them buffers
+        that are dead before the step runs.
       fresh_output: True when the kernel always *allocates* its result —
         the returned array never aliases an input, a variable's storage,
-        or any other external buffer.  Only fresh outputs are eligible
-        as buffer-donation targets: donating an alias-returning kernel's
-        output (``Identity``, variable reads, views) would let an
-        in-place step silently corrupt caller arrays or live state.
+        or any other external buffer.  The runtime arena only places a
+        value in a reused buffer when every consumer is stateless and
+        ``fresh_output``: an alias-returning consumer (``Identity``,
+        ``Reshape``, a ``While`` input) could carry the buffer past its
+        planned lifetime, into a fetch or into live state.
       fusable: ``None``, or the plain elementwise NumPy ufunc this
-        kernel wraps (``np.add``, ``np.tanh``, ...).  The runtime
-        planner's fusion pass (:mod:`repro.runtime.plan`) collapses
-        chains/trees of fusable steps into one ``exec``-compiled
-        composite kernel that calls these ufuncs directly — the
-        mapping-table idiom: op type → compiled primitive.  Only set it
-        for stateless, single-output, attr-free kernels whose behavior
-        is *exactly* ``ufunc(*inputs)`` (including dtype promotion),
-        and whose ufunc accepts ``out=`` aliasing an input.
+        kernel wraps (``np.add``, ``np.tanh``, ...).  The fusion pass
+        (:mod:`repro.runtime.fusion`) collapses chains/trees of fusable
+        steps into one ``exec``-compiled composite kernel that calls
+        these ufuncs directly — the mapping-table idiom: op type →
+        compiled primitive — and the runtime arena uses
+        ``ufunc(*inputs, out)`` as the step's ``out=`` variant.  Only set
+        it for stateless, single-output, attr-free kernels whose
+        behavior is *exactly* ``ufunc(*inputs)`` (including dtype
+        promotion); ufuncs accept ``out`` aliasing an equal-shaped
+        input, so alias tolerance follows from ``fusable``.
     """
 
     __slots__ = (
@@ -71,14 +70,13 @@ class OpDef:
         "dtype_fn",
         "stateful",
         "inplace_kernel",
-        "inplace_no_alias",
         "fresh_output",
         "fusable",
     )
 
     def __init__(self, name, kernel, *, num_outputs=1, grad_fn=None, shape_fn=None,
                  dtype_fn=None, stateful=False, inplace_kernel=None,
-                 inplace_no_alias=False, fresh_output=False, fusable=None):
+                 fresh_output=False, fusable=None):
         self.name = name
         self.kernel = kernel
         self.num_outputs = num_outputs
@@ -87,7 +85,6 @@ class OpDef:
         self.dtype_fn = dtype_fn
         self.stateful = stateful
         self.inplace_kernel = inplace_kernel
-        self.inplace_no_alias = inplace_no_alias
         self.fresh_output = fresh_output
         self.fusable = fusable
 

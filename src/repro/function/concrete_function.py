@@ -521,7 +521,7 @@ class ConcreteFunction(Executable):
 
     def plan_describe(self):
         """The compiled plan's human-readable dump (steps, levels, fused
-        groups, donation arms) — see :meth:`ExecutionPlan.describe
+        groups, arena buffers) — see :meth:`ExecutionPlan.describe
         <repro.runtime.plan.ExecutionPlan.describe>`."""
         return self._current_bound().plan.describe()
 

@@ -114,8 +114,8 @@ class Function:
         export eligibility and model-server registrations.
 
         ``plans=True`` additionally dumps each graph-backend trace's
-        compiled execution plan (steps, levels, fused groups, donation
-        arms) — the "what did the planner actually compile?" view.
+        compiled execution plan (steps, levels, fused groups, arena
+        buffers) — the "what did the planner actually compile?" view.
         """
         lines = []
         for cf in self._cache.values():

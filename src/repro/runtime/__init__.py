@@ -7,8 +7,8 @@ this one package:
 
 - :mod:`repro.runtime.plan` compiles a graph + fetches + feeds into an
   :class:`ExecutionPlan` (pruned topo steps, slot locators, feed/fetch
-  slot tables) with constant pre-evaluation, dead-step elision and
-  output-buffer reuse;
+  slot tables) with constant pre-evaluation, dead-step elision,
+  elementwise fusion and a static per-plan memory arena;
 - :mod:`repro.runtime.engine` provides :class:`BoundPlan` — the
   positional **fast path** that binds feed tensors to slots once and
   executes per call with no dict lookups, no per-call flattening and no

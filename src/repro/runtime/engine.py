@@ -47,8 +47,7 @@ class BoundPlan:
     """An :class:`~repro.runtime.plan.ExecutionPlan` bound to a fixed
     positional argument order."""
 
-    __slots__ = ("plan", "scheduler", "calls", "_arg_binds", "_n_args",
-                 "_donor_args")
+    __slots__ = ("plan", "scheduler", "calls", "_arg_binds", "_n_args")
 
     def __init__(self, plan, arg_tensors, scheduler=None):
         """Bind ``arg_tensors`` (the plan's feed tensors, in the order
@@ -85,12 +84,6 @@ class BoundPlan:
         self.scheduler = scheduler
         self._arg_binds = tuple(binds)
         self._n_args = len(binds)
-        # Argument positions whose buffers the donate path writes into
-        # (resolved once here so each donate call checks a tuple of
-        # ints, not the feed-slot mapping).
-        donated = set(plan.donated_feed_slots)
-        self._donor_args = tuple(
-            i for i, b in enumerate(binds) if b[0] in donated)
         # Lifetime execute_flat count.  Updated without a lock: one
         # CPython int add on a path that already runs the kernel loop,
         # so the serving-observability counter is approximate under
@@ -102,8 +95,10 @@ class BoundPlan:
         return self.plan.graph_version
 
     def describe(self):
-        """Observability snapshot: how big the bound plan is and how
-        often it has run (surfaced in ``GET /v1/models``)."""
+        """Observability snapshot: how big the bound plan is, how often
+        it has run and the memory its arena pool holds — ``arena_bytes``
+        per arena, one arena per concurrent caller (surfaced in
+        ``GET /v1/models``)."""
         plan = self.plan
         info = {
             "args": self._n_args,
@@ -111,6 +106,8 @@ class BoundPlan:
             "levels": len(plan.levels),
             "calls": self.calls,
             "graph_version": plan.graph_version,
+            "arena_bytes": plan.arena_bytes,
+            "arena_pool": plan.arenas_held,
         }
         fused = getattr(plan, "fused_groups", ())
         if fused:
@@ -119,7 +116,7 @@ class BoundPlan:
             info["fused_kernels"] = [g[0] for g in fused]
         return info
 
-    def execute_flat(self, args, donate=False):
+    def execute_flat(self, args):
         """Run the plan on positional argument values; returns the flat
         fetch results (ndarrays, in fetch order).
 
@@ -129,14 +126,8 @@ class BoundPlan:
         compatibility against the bound placeholder's static shape is
         still enforced — it is one tuple walk, and silently broadcasting
         a wrong-shaped feed is how serving bugs become model bugs.
-
-        ``donate=True`` relinquishes the caller's input buffers for this
-        call: ``inplace_no_alias`` steps the plan armed at compile time
-        may write results directly into dead feed arrays (so a fetched
-        result can *be* the caller's input array).  Opting in is safe
-        but conditional — each donated buffer must arrive as a writeable
-        ndarray not aliased by any other argument, otherwise this call
-        silently runs the normal non-donating steps.
+        Inputs are only ever read, and every result is a fresh array the
+        caller owns.
         """
         if len(args) != self._n_args:
             raise FetchError(
@@ -168,32 +159,8 @@ class BoundPlan:
                             f"({', '.join(str(d) for d in partial)})"
                         )
             values[slot] = (a,)
-        if donate and self._donor_args:
-            donate = self._donation_safe(values)
-            if donate:
-                _REC.counter("runtime.feed_donations", len(self._donor_args))
-            else:
-                _REC.counter("runtime.feed_donation_fallbacks")
-        else:
-            donate = False
-        plan.execute(values, self.scheduler, donate=donate)
+        plan.execute(values, self.scheduler)
         return plan.fetch(values)
-
-    def _donation_safe(self, values):
-        """Whether every donated feed buffer may really be written: a
-        writeable ndarray that is not the same object as any *other*
-        bound argument (writing into a shared buffer would corrupt the
-        reads of later steps through the aliasing slot)."""
-        binds = self._arg_binds
-        for ai in self._donor_args:
-            slot = binds[ai][0]
-            buf = values[slot][0]
-            if type(buf) is not np.ndarray or not buf.flags.writeable:
-                return False
-            for b in binds:
-                if b[0] != slot and buf is values[b[0]][0]:
-                    return False
-        return True
 
     def __repr__(self):
         return f"<BoundPlan args={self._n_args} plan={self.plan!r}>"

@@ -16,14 +16,13 @@ allows (the Table-2 dispatch-overhead story):
   baked into the plan's base slot values and their steps disappear;
 - **dead-step elision** — only ops the fetches (or their control deps)
   reach are compiled at all;
-- **output-buffer reuse** — a step whose kernel advertises an in-place
-  variant (``OpDef.inplace_kernel``) may write its result into the buffer
-  of a single-consumer intermediate input (alias-tolerant ufuncs), or —
-  for ``inplace_no_alias`` kernels like ``MatMul`` — into any
-  intermediate buffer that is provably dead before the step runs, in
-  both serial and level-parallel execution order; donated buffers are
-  never feeds (caller-owned), baked constants (shared across calls) or
-  fetches (returned to the caller);
+- **a static memory arena** — one liveness pass over the steps (and
+  over the members of fused groups) colours every intermediate whose
+  dtype and shape are *proven* at compile time into a per-plan arena
+  buffer, and the step writes it with ``out=``; see
+  :func:`_plan_arena` for which values qualify.  Fetched results,
+  dynamic shapes and unproven values keep plain allocation, so a fetch
+  is always a fresh array the caller owns;
 - **elementwise fusion** (``fuse=True``) — maximal chains/trees of
   fusable ufunc steps whose intermediates are single-consumer and not
   fetched collapse into one ``exec``-compiled composite kernel
@@ -49,11 +48,12 @@ import functools
 
 import numpy as np
 
+from ..framework.dtypes import numpy_result_dtype
 from ..framework.errors import ExecutionError, FetchError
 from ..framework.graph.graph import Operation, Tensor
 from ..framework.graph.optimize import has_opaque_attrs
 from ..observe.events import RECORDER as _REC
-from .fusion import fuse_elementwise_steps
+from .fusion import _FusedOp, fuse_elementwise_steps, program_kernel, step_program
 
 __all__ = ["ExecutionPlan", "compile_plan"]
 
@@ -62,24 +62,24 @@ class ExecutionPlan:
     """A pruned, topologically-ordered, slot-resolved execution plan.
 
     Attributes:
-      steps: ``(slot, kernel, locators, single, op_name, inplace)``
-        tuples; ``inplace`` is ``None`` or a buffer-donation record
-        ``(donor_slot, donor_index, inplace_kernel, out_shape, out_dtype)``.
+      steps: ``(slot, kernel, locators, single, op_name)`` tuples.  A
+        step writing into the arena reads its buffers through locators
+        ``(arena_slot, buffer_index)`` after its inputs.
       fetch_locators: ``(slot, output_index)`` per flat fetch (``(-1, 0)``
         for ``None`` fetches).
       feed_slots: ``(tensor, slot)`` per feed tensor, in feed order.
-      n_slots: total number of value slots (op slots + feed slots).
+      n_slots: total number of value slots (op slots + feed slots, plus
+        the arena slot when the plan has an arena).
       base_values: length-``n_slots`` template with pre-evaluated constant
         slots filled; every execution starts from a shallow copy.
       levels: wavefront partition of step indices — steps in one level
         are mutually independent (data, control and stateful-order
         dependencies all land in earlier levels).
-      donate_steps: ``None``, or an alternate ``steps`` tuple in which
-        some ``inplace_no_alias`` steps additionally write into dead
-        *feed* buffers — the opt-in ``execute(..., donate=True)`` path
-        (the caller relinquishes its input arrays for the call).
-      donated_feed_slots: the feed slots ``donate_steps`` writes into;
-        the binder runtime-checks those buffers before opting in.
+      arena: ``(shape, dtype)`` per arena buffer (empty: no arena).
+      arena_slot: the value slot an execution binds its arena tuple to.
+      step_buffers: per step, ``(output buffer index or None, temporary
+        buffer indices)`` — where :meth:`describe` says each step's
+        memory comes from.
       fused_groups: ``(span_name, member_op_names, member_op_types,
         slot)`` per fused composite step (empty when compiled with
         ``fuse=False`` or nothing fused).
@@ -91,13 +91,12 @@ class ExecutionPlan:
 
     __slots__ = ("steps", "fetch_locators", "feed_slots", "n_slots",
                  "base_values", "graph", "graph_version", "levels",
-                 "donate_steps", "donated_feed_slots", "fused_groups",
-                 "refs")
+                 "arena", "arena_slot", "step_buffers", "fused_groups",
+                 "refs", "_arenas", "_idle_arenas")
 
     def __init__(self, steps, fetch_locators, feed_slots, n_slots,
-                 base_values, graph, graph_version, levels=(),
-                 donate_steps=None, donated_feed_slots=(), fused_groups=(),
-                 refs=()):
+                 base_values, graph, graph_version, levels=(), arena=(),
+                 arena_slot=-1, step_buffers=(), fused_groups=(), refs=()):
         self.steps = steps
         self.fetch_locators = fetch_locators
         self.feed_slots = feed_slots
@@ -106,10 +105,26 @@ class ExecutionPlan:
         self.graph = graph
         self.graph_version = graph_version
         self.levels = levels
-        self.donate_steps = donate_steps
-        self.donated_feed_slots = donated_feed_slots
+        self.arena = arena
+        self.arena_slot = arena_slot
+        self.step_buffers = step_buffers
         self.fused_groups = fused_groups
         self.refs = refs
+        # The arena pool: one arena per concurrent caller, created on
+        # demand and kept (list pop/append are atomic under the GIL).
+        self._arenas = []
+        self._idle_arenas = []
+
+    @property
+    def arenas_held(self):
+        """Arenas created so far: the most callers ever run at once."""
+        return len(self._arenas)
+
+    @property
+    def arena_bytes(self):
+        """Bytes of one arena; the plan holds one per concurrent caller."""
+        return sum(int(np.prod(shape)) * dtype.itemsize
+                   for shape, dtype in self.arena)
 
     # -- execution ---------------------------------------------------------
 
@@ -117,25 +132,39 @@ class ExecutionPlan:
         """A fresh per-call slot array (constants already in place)."""
         return list(self.base_values)
 
-    def execute(self, values, scheduler=None, donate=False):
+    def execute(self, values, scheduler=None):
         """Run every step against ``values`` (feeds already bound).
 
         With a parallel ``scheduler`` the steps run level by level,
         each level's independent steps fanned out on the scheduler's
         worker pool (slot stores into distinct indices of ``values``
-        are safe under the GIL; the kernels release it).
-
-        ``donate=True`` runs :attr:`donate_steps` instead — the caller
-        asserts the donated feed buffers are writeable and exclusively
-        owned for this call (:meth:`BoundPlan.execute_flat
-        <repro.runtime.engine.BoundPlan.execute_flat>` verifies this
-        before opting in).
+        are safe under the GIL; the kernels release it).  The call
+        borrows one arena from the plan's pool for its duration.
         """
+        if not self.arena:
+            return self._execute(values, scheduler)
+        idle = self._idle_arenas
+        try:
+            arena = idle.pop()
+        except IndexError:
+            arena = self._new_arena()
+        values[self.arena_slot] = arena
+        try:
+            return self._execute(values, scheduler)
+        finally:
+            values[self.arena_slot] = None
+            idle.append(arena)
+
+    def _new_arena(self):
+        arena = tuple(np.empty(shape, dtype) for shape, dtype in self.arena)
+        self._arenas.append(arena)
+        _REC.counter("runtime.arenas_created")
+        return arena
+
+    def _execute(self, values, scheduler):
         steps = self.steps
-        if donate and self.donate_steps is not None:
-            steps = self.donate_steps
         if _REC.enabled:
-            return self._execute_traced(values, scheduler, steps)
+            return self._execute_traced(values, scheduler)
         if scheduler is not None and scheduler.parallel and len(steps) > 1:
             run = self._run_step
             for level in self.levels:
@@ -146,28 +175,9 @@ class ExecutionPlan:
                         lambda i, _s=steps, _v=values: run(_s[i], _v),
                         level)
             return values
-        for slot, kernel, locators, single, op_name, inplace in steps:
+        for slot, kernel, locators, single, op_name in steps:
             try:
-                args = [values[j][k] for j, k in locators]
-                if inplace is not None:
-                    dj, dk, ikernel, out_shape, out_dtype = inplace
-                    buf = values[dj][dk]
-                    # Static shapes/dtypes matched at compile time; this
-                    # cheap runtime guard protects against kernels whose
-                    # actual output metadata diverged from inference.
-                    if (type(buf) is np.ndarray and buf.shape == out_shape
-                            and buf.dtype == out_dtype):
-                        try:
-                            out = ikernel(*args, out=buf)
-                        except (TypeError, ValueError):
-                            # The ufunc refused the out= cast (static
-                            # dtype inference was optimistic); NumPy
-                            # rejects before writing, so fall back clean.
-                            out = kernel(*args)
-                    else:
-                        out = kernel(*args)
-                else:
-                    out = kernel(*args)
+                out = kernel(*[values[j][k] for j, k in locators])
             except ExecutionError:
                 raise
             except Exception as e:
@@ -180,22 +190,9 @@ class ExecutionPlan:
     def _run_step(self, step, values):
         """One step of the level-parallel path (same semantics as the
         inlined serial loop body, which stays unrolled for call speed)."""
-        slot, kernel, locators, single, op_name, inplace = step
+        slot, kernel, locators, single, op_name = step
         try:
-            args = [values[j][k] for j, k in locators]
-            if inplace is not None:
-                dj, dk, ikernel, out_shape, out_dtype = inplace
-                buf = values[dj][dk]
-                if (type(buf) is np.ndarray and buf.shape == out_shape
-                        and buf.dtype == out_dtype):
-                    try:
-                        out = ikernel(*args, out=buf)
-                    except (TypeError, ValueError):
-                        out = kernel(*args)
-                else:
-                    out = kernel(*args)
-            else:
-                out = kernel(*args)
+            out = kernel(*[values[j][k] for j, k in locators])
         except ExecutionError:
             raise
         except Exception as e:
@@ -204,13 +201,14 @@ class ExecutionPlan:
             ) from e
         values[slot] = (out,) if single else tuple(out)
 
-    def _execute_traced(self, values, scheduler, steps):
+    def _execute_traced(self, values, scheduler):
         """The recording twin of :meth:`execute`: one ``"step"`` span
         per executed step (named after the op, so the profiler's
         top-kernels view aggregates directly) and — on the parallel
         path — one ``"level"`` span per wavefront.  Lives off to the
         side so the untraced loops stay branch-free inside."""
         rec = _REC
+        steps = self.steps
         run = self._run_step_traced
         t_plan = rec.begin()
         try:
@@ -255,36 +253,44 @@ class ExecutionPlan:
 
     def describe(self):
         """A human-readable plan dump: steps, levels, fused groups and
-        donation arms — the debugging aid for "what did the planner
-        actually compile?".  Stable enough to grep in tests, cheap
-        enough to print from a REPL."""
+        where each step's output buffer comes from (``arena#k (bytes)``,
+        ``fresh`` or ``fetched``) — the debugging aid for "what did the
+        planner actually compile?".  Stable enough to grep in tests,
+        cheap enough to print from a REPL."""
         fused_by_slot = {g[3]: g for g in self.fused_groups}
+        fetched = {j for j, _k in self.fetch_locators}
         lines = [
             f"ExecutionPlan: {len(self.steps)} steps in "
             f"{len(self.levels)} levels, {self.n_slots} slots, "
             f"{len(self.feed_slots)} feeds, "
             f"{len(self.fetch_locators)} fetches, "
-            f"{len(self.fused_groups)} fused"
+            f"{len(self.fused_groups)} fused, "
+            f"arena {len(self.arena)} buffers / {self.arena_bytes} B"
         ]
         level_of = {}
         for ln, level in enumerate(self.levels):
             for i in level:
                 level_of[i] = ln
-        for i, (slot, _kernel, locators, _single, name, inplace) in (
+
+        def buf(b):
+            shape, dtype = self.arena[b]
+            return f"arena#{b} ({int(np.prod(shape)) * dtype.itemsize} B)"
+
+        for i, (slot, _kernel, locators, _single, name) in (
                 enumerate(self.steps)):
-            ins = ", ".join(f"{j}:{k}" for j, k in locators)
+            ins = ", ".join(f"{j}:{k}" for j, k in locators
+                            if j != self.arena_slot)
+            out, temps = self.step_buffers[i]
+            where = (buf(out) if out is not None
+                     else "fetched" if slot in fetched else "fresh")
             line = (f"  [{i}] L{level_of.get(i, 0)} slot={slot} "
-                    f"{name}({ins})")
-            if inplace is not None:
-                line += f" inplace<-slot{inplace[0]}"
+                    f"{name}({ins}) -> {where}")
+            if temps:
+                line += f" temps=[{', '.join(buf(b) for b in temps)}]"
             g = fused_by_slot.get(slot)
             if g is not None and name == g[0]:
                 line += f" members=[{', '.join(g[1])}]"
             lines.append(line)
-        if self.donate_steps is not None:
-            lines.append(
-                "  donate variant writes feed slots "
-                f"{list(self.donated_feed_slots)}")
         return "\n".join(lines)
 
     def __repr__(self):
@@ -386,10 +392,10 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
 
     # -- step emission with constant pre-evaluation ------------------------
     base_values = [None] * n_slots
-    # Slots whose base value is baked (shared across calls; never donate).
+    # Slots whose base value is baked (shared across calls).
     const_slots = set()
     steps = []
-    step_ops = []  # parallel to steps, for the buffer-reuse pass
+    step_ops = []  # parallel to steps, for fusion and the arena pass
 
     for op in needed:
         if op.type == "Placeholder":
@@ -401,12 +407,7 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
             continue
         slot = slot_of[id(op)]
         locators = tuple(locator(t) for t in op.inputs)
-        runtime_attrs = {
-            k: v for k, v in op.attrs.items() if not k.startswith("_")
-        }
-        kernel = op.op_def.kernel
-        if runtime_attrs:
-            kernel = functools.partial(kernel, **runtime_attrs)
+        kernel = _bind_attrs(op.op_def.kernel, op)
 
         # Constant pre-evaluation: a stateless op whose inputs are all
         # already-baked constants runs once, now, and sheds its step.
@@ -432,8 +433,8 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
                     const_slots.add(slot)
                     continue
 
-        steps.append([slot, kernel, locators, op.op_def.num_outputs == 1,
-                      op.name, None])
+        steps.append((slot, kernel, locators, op.op_def.num_outputs == 1,
+                      op.name))
         step_ops.append(op)
 
     fetch_locators = []
@@ -446,30 +447,31 @@ def compile_plan(graph, flat_fetches, feed_tensors, *, fuse=True):
     # Elementwise fusion runs after constant pre-evaluation (so folded
     # Const subtrees never split a fusable chain) and needs the fetch
     # locators (fetched intermediates block fusion edges), but before
-    # level/donation assignment, which must see the *fused* steps.
+    # levels and the arena, which must see the *fused* steps.
     fused_groups = ()
     if fuse:
         steps, step_ops, fused_groups = fuse_elementwise_steps(
-            steps, step_ops, fetch_locators, feed_slots, const_slots,
-            base_values)
+            steps, step_ops, fetch_locators, const_slots, base_values)
 
     step_levels, levels = _compute_levels(steps, step_ops)
-    _assign_buffer_reuse(steps, step_ops, fetch_locators, const_slots,
-                         len(needed), step_levels)
-    donate_steps, donated_feed_slots = _assign_feed_donations(
-        steps, step_ops, feed_slots, fetch_locators, step_levels)
+    steps, arena, step_buffers = _plan_arena(
+        steps, step_ops, fetch_locators, feed_slots, const_slots,
+        base_values, step_levels, n_slots)
+    if arena:
+        base_values.append(None)  # the arena slot, bound per call
 
     return ExecutionPlan(
-        tuple(tuple(s) for s in steps),
+        tuple(steps),
         tuple(fetch_locators),
         tuple(feed_slots),
-        n_slots,
+        len(base_values),
         base_values,
         graph,
         graph.version,
         levels=levels,
-        donate_steps=donate_steps,
-        donated_feed_slots=donated_feed_slots,
+        arena=arena,
+        arena_slot=n_slots if arena else -1,
+        step_buffers=step_buffers,
         fused_groups=fused_groups,
     )
 
@@ -531,187 +533,167 @@ def _bake(value):
     return arr
 
 
-def _assign_buffer_reuse(steps, step_ops, fetch_locators, const_slots,
-                         n_op_slots, step_levels):
-    """Mark steps that may write their output into a reusable buffer.
+def _bind_attrs(kernel, op):
+    """``kernel`` with ``op``'s runtime (non-``_``) attrs pre-bound."""
+    attrs = {k: v for k, v in op.attrs.items() if not k.startswith("_")}
+    return functools.partial(kernel, **attrs) if attrs else kernel
 
-    A donated buffer must be produced by an executed step of this plan
-    whose kernel *allocates* its result (``OpDef.fresh_output``) — never
-    a feed (the caller owns that array), a baked constant (shared across
-    calls), or the output of an alias-returning kernel like ``Identity``
-    or a variable read (writing into those would corrupt caller arrays
-    or live state) — and never a fetch (the caller receives it).  The
-    in-place variant's output shape/dtype must be statically known and
-    match the donor exactly.  Two donation disciplines:
 
-    - **alias-tolerant** kernels (ufuncs) take a dying *input*: a buffer
-      this step is the sole consumer of, written while being read;
-    - **no-alias** kernels (``inplace_no_alias``, e.g. BLAS ``MatMul``)
-      take any intermediate that is provably dead before the step runs —
-      its last consumer finishing earlier both in serial step order
-      *and* in level order, so the level-parallel path can never be
-      writing it concurrently.
+def _ufunc_spec(ufunc, ins):
+    """The proven ``(dtype, shape)`` of ``ufunc`` over operands with
+    proven specs ``ins`` — ``None`` if any operand is unproven."""
+    if any(s is None for s in ins):
+        return None
+    dtype = numpy_result_dtype([d for d, _ in ins], ufunc)
+    try:
+        shape = np.broadcast_shapes(*(sh for _, sh in ins))
+    except ValueError:
+        return None
+    return None if dtype is None else (dtype, shape)
 
-    Each buffer is donated at most once (the ``claimed`` set): after
-    donation it carries the donee's output, which later steps may read.
+
+def _spec_of(tensor):
+    """A tensor's static ``(dtype, shape)``, or ``None`` if partial."""
+    if tensor.dtype.np_dtype is None or not tensor.shape.is_fully_defined:
+        return None
+    return tensor.dtype.np_dtype, tensor.shape.as_tuple()
+
+
+def _inplace_spec(op, ins):
+    """The proven ``(dtype, shape)`` of a non-ufunc ``out=`` kernel
+    (``MatMul``): its static output spec, when every operand's proven
+    spec is exactly its static one — static inference is then evaluated
+    on proven inputs, and follows NumPy's promotion exactly
+    (:func:`repro.framework.dtypes.result_dtype`)."""
+    if any(s is None or s != _spec_of(t) for s, t in zip(ins, op.inputs)):
+        return None
+    return _spec_of(op.outputs[0])
+
+
+def _buffer_free(touches, i, m, level, alias_ok, step_levels):
+    """Whether a buffer whose occupant was touched at ``touches``
+    (``{step: last member position}``) may take a value defined by
+    member ``m`` of step ``i``: every touch lies strictly earlier in both
+    step order and level — so serial and level-parallel execution alike
+    are done with it — or earlier inside step ``i`` itself, or at ``m``
+    when that member is an alias-tolerant ufunc reading it."""
+    for j, sub in touches.items():
+        if j == i:
+            if sub > m or (sub == m and not alias_ok):
+                return False
+        elif j > i or step_levels[j] >= level:
+            return False
+    return True
+
+
+def _plan_arena(steps, step_ops, fetch_locators, feed_slots, const_slots,
+                base_values, step_levels, arena_slot):
+    """Give eligible intermediates a static arena buffer.
+
+    **Proof.**  A value's dtype and shape are *proven* when it is a
+    feed with a declared dtype and fully-defined shape (every execution
+    front coerces and checks those), a baked constant, or the result of
+    a ufunc member or ``out=`` kernel over proven operands.  Nothing
+    else is trusted: static inference of other kernels may diverge from
+    what they return.
+
+    **Eligibility.**  A step output gets a buffer when its kernel has an
+    ``out=`` variant (a ufunc program — fused or single — or
+    ``OpDef.inplace_kernel``), its spec is proven, numeric and not 0-d,
+    it is not fetched, and every consumer is stateless and
+    ``fresh_output`` — so no alias of the buffer can outlive its
+    planned lifetime.  A fused kernel's internal temporaries need only
+    a proven, non-0-d spec.
+
+    **Colouring.**  One pass in definition order (step, then member
+    position) assigns each eligible value the first same-dtype/shape
+    buffer whose last occupant :func:`_buffer_free` releases, else a
+    new buffer.
+
+    Returns ``(steps, arena layout, step_buffers)`` with every kernel
+    final: arena writers read their buffers through ``(arena_slot, k)``
+    locators, and fused kernels are generated here.
     """
-    donatable = {}
+    spec = {(slot, 0): _spec_of(t) for t, slot in feed_slots}
+    for j in const_slots:
+        c = base_values[j][0]
+        spec[(j, 0)] = (c.dtype, c.shape)
+
+    programs, member_specs = [], []
+    touches = {}  # value key -> {step: last member position}
     for i, (s, op) in enumerate(zip(steps, step_ops)):
-        if op.op_def.fresh_output:
-            for k in range(op.op_def.num_outputs):
-                donatable[(s[0], k)] = i
+        locs = s[2]
+        prog = step_program(op, len(locs))
+        if prog is None:
+            for loc in locs:
+                touches.setdefault(loc, {})[i] = 0
+            ms = None
+            if op.op_def.inplace_kernel is not None and s[3]:
+                ms = [_inplace_spec(op, [spec.get(loc) for loc in locs])]
+        else:
+            consts = getattr(op, "consts", ())
+            ms = []
+            for m, (ufunc, args) in enumerate(prog):
+                ins = []
+                for kind, j in args:
+                    if kind == "c":
+                        ins.append((consts[j].dtype, consts[j].shape))
+                        continue
+                    key = locs[j] if kind == "p" else ("t", i, j)
+                    touches.setdefault(key, {})[i] = m
+                    ins.append(spec.get(key) if kind == "p" else ms[j])
+                ms.append(_ufunc_spec(ufunc, ins))
+        programs.append(prog)
+        member_specs.append(ms)
+        if ms and ms[-1] is not None:
+            spec[(s[0], 0)] = ms[-1]
 
-    consumers = {}
-    last_use = {}
-    for i, s in enumerate(steps):
-        for loc in s[2]:
-            consumers[loc] = consumers.get(loc, 0) + 1
-            li, ll = last_use.get(loc, (-1, -1))
-            last_use[loc] = (max(li, i), max(ll, step_levels[i]))
     fetched = set(fetch_locators)
-
-    # Dead-buffer pool for no-alias kernels: donatable intermediates
-    # keyed by (dtype, shape), each tagged with the last (index, level)
-    # at which anything touches the buffer.
-    pool = {}
+    blocked = set()
     for s, op in zip(steps, step_ops):
-        for k, t in enumerate(op.outputs):
-            loc = (s[0], k)
-            if loc not in donatable or loc in fetched:
-                continue
-            if loc[0] in const_slots or loc[0] >= n_op_slots:
-                continue
-            if t.dtype.np_dtype is None or not t.shape.is_fully_defined:
-                continue
-            pi = donatable[loc]
-            li, ll = last_use.get(loc, (-1, -1))
-            entry = (max(li, pi), max(ll, step_levels[pi]), loc)
-            pool.setdefault(
-                (np.dtype(t.dtype.np_dtype), t.shape.as_tuple()), []
-            ).append(entry)
-    for entries in pool.values():
-        entries.sort()
+        if op.op_def.stateful or not op.op_def.fresh_output:
+            blocked.update(s[2])
 
-    claimed = set()
-    for i, (s, op) in enumerate(zip(steps, step_ops)):
-        ikernel = op.op_def.inplace_kernel
-        if ikernel is None or not s[3]:
-            continue
-        runtime_attrs = {
-            k: v for k, v in op.attrs.items() if not k.startswith("_")
-        }
-        if runtime_attrs:
-            ikernel = functools.partial(ikernel, **runtime_attrs)
-        out_t = op.outputs[0]
-        out_dtype = out_t.dtype.np_dtype
-        if out_dtype is None or not out_t.shape.is_fully_defined:
-            continue
-        out_shape = out_t.shape.as_tuple()
-
-        if op.op_def.inplace_no_alias:
-            lv = step_levels[i]
-            for li, ll, loc in pool.get(
-                    (np.dtype(out_dtype), out_shape), ()):
-                if li >= i or ll >= lv:
-                    continue
-                if loc in claimed:
-                    continue
-                s[5] = (loc[0], loc[1], ikernel, out_shape,
-                        np.dtype(out_dtype))
-                claimed.add(loc)
-                break
-            continue
-
-        for t, loc in zip(op.inputs, s[2]):
-            if loc not in donatable or loc[0] in const_slots:
-                continue
-            if loc[0] >= n_op_slots:  # a feed slot
-                continue
-            if consumers.get(loc, 0) != 1 or loc in fetched or loc in claimed:
-                continue
-            if t.dtype.np_dtype != out_dtype:
-                continue
-            if not t.shape.is_fully_defined or t.shape.as_tuple() != out_shape:
-                continue
-            s[5] = (loc[0], loc[1], ikernel, out_shape, np.dtype(out_dtype))
-            claimed.add(loc)
-            break
-
-
-def _assign_feed_donations(steps, step_ops, feed_slots, fetch_locators,
-                           step_levels):
-    """The opt-in *feed-buffer* donation variant of the plan's steps.
-
-    :func:`_assign_buffer_reuse` never touches feed slots — the caller
-    owns those arrays.  But a caller that explicitly opts in
-    (``execute_flat(args, donate=True)``) relinquishes its input
-    buffers for the call, so an ``inplace_no_alias`` step that found no
-    intermediate donor may instead write into a *feed* that is dead by
-    the time the step runs, under exactly the discipline the dead-pool
-    pass uses: the feed's last consumer finishes strictly earlier in
-    both serial step order and level order, the feed is not itself
-    fetched, shapes/dtypes match exactly, and each buffer is claimed
-    once.  Steals-from-the-caller semantics make this compile-time-safe
-    but *call-time conditional*: the binder still verifies at each call
-    that every donated buffer is a writeable ndarray not aliased by
-    another argument, and falls back to the normal steps otherwise.
-
-    Returns ``(donate_steps, donated_feed_slots)`` — ``(None, ())``
-    when no step could be armed, so plans without donation
-    opportunities carry no extra tuple.
-    """
-    fetched = set(fetch_locators)
-    last_use = {}
+    layout, occupant, classes, buf_of = [], [], {}, {}
     for i, s in enumerate(steps):
-        for loc in s[2]:
-            li, ll = last_use.get(loc, (-1, -1))
-            last_use[loc] = (max(li, i), max(ll, step_levels[i]))
-
-    pool = {}
-    for t, slot in feed_slots:
-        loc = (slot, 0)
-        if loc in fetched:
-            continue
-        if t.dtype.np_dtype is None or not t.shape.is_fully_defined:
-            continue
-        li, ll = last_use.get(loc, (-1, -1))
-        pool.setdefault(
-            (np.dtype(t.dtype.np_dtype), t.shape.as_tuple()), []
-        ).append((li, ll, loc))
-    for entries in pool.values():
-        entries.sort()
-
-    donate_steps = [list(s) for s in steps]
-    donated = []
-    claimed = set()
-    for i, (s, op) in enumerate(zip(donate_steps, step_ops)):
-        # Only steps the intermediate-reuse pass left unarmed, and only
-        # the no-alias discipline: an alias-tolerant ufunc reading the
-        # feed it writes would still be correct, but a *dead* feed is
-        # the only case where donating beats the existing reuse.
-        if s[5] is not None or not s[3]:
-            continue
-        ikernel = op.op_def.inplace_kernel
-        if ikernel is None or not op.op_def.inplace_no_alias:
-            continue
-        runtime_attrs = {
-            k: v for k, v in op.attrs.items() if not k.startswith("_")
-        }
-        if runtime_attrs:
-            ikernel = functools.partial(ikernel, **runtime_attrs)
-        out_t = op.outputs[0]
-        out_dtype = out_t.dtype.np_dtype
-        if out_dtype is None or not out_t.shape.is_fully_defined:
-            continue
-        out_shape = out_t.shape.as_tuple()
-        lv = step_levels[i]
-        for li, ll, loc in pool.get((np.dtype(out_dtype), out_shape), ()):
-            if li >= i or ll >= lv or loc in claimed:
+        for m, sp in enumerate(member_specs[i] or ()):
+            root = m == len(member_specs[i]) - 1
+            key = (s[0], 0) if root else ("t", i, m)
+            if (sp is None or sp[1] == () or sp[0].kind not in "biufc"
+                    or (root and (key in fetched or key in blocked))):
                 continue
-            s[5] = (loc[0], loc[1], ikernel, out_shape, np.dtype(out_dtype))
-            claimed.add(loc)
-            donated.append(loc[0])
-            break
-    if not donated:
-        return None, ()
-    return tuple(tuple(s) for s in donate_steps), tuple(sorted(donated))
+            used = dict(touches.get(key, {}))
+            used.setdefault(i, m)
+            alias_ok = programs[i] is not None
+            level = step_levels[i]
+            cls = classes.setdefault(sp, [])
+            for b in cls:
+                if _buffer_free(occupant[b], i, m, level, alias_ok,
+                                step_levels):
+                    break
+            else:
+                b = len(layout)
+                layout.append((sp[1], sp[0]))
+                occupant.append(None)
+                cls.append(b)
+            occupant[b] = used
+            buf_of[key] = b
+
+    out_steps, step_buffers = [], []
+    for i, (s, op) in enumerate(zip(steps, step_ops)):
+        slot, kernel, locs, single, name = s
+        out = buf_of.get((slot, 0))
+        temps = ()
+        prog = programs[i]
+        if isinstance(op, _FusedOp) or (prog is not None and out is not None):
+            bufs = [buf_of.get(("t", i, m)) for m in range(len(prog) - 1)]
+            temps = tuple(sorted({b for b in bufs if b is not None}))
+            kernel, order = program_kernel(
+                prog, getattr(op, "consts", ()), len(locs), bufs + [out])
+            locs = locs + tuple((arena_slot, b) for b in order)
+        elif out is not None:
+            kernel = _bind_attrs(op.op_def.inplace_kernel, op)
+            locs = locs + ((arena_slot, out),)
+        out_steps.append((slot, kernel, locs, single, name))
+        step_buffers.append((out, temps))
+    return out_steps, tuple(layout), tuple(step_buffers)

@@ -43,7 +43,11 @@ class TestDTypes:
         assert dtypes.float32 != "float64"
 
     def test_promotion_lattice(self):
-        assert dtypes.result_dtype(dtypes.int32, dtypes.float32) is dtypes.float32
+        # NumPy promotion, what the kernels really return: float32 holds
+        # no int32 exactly, so the pair widens to float64.
+        assert dtypes.result_dtype(dtypes.int32, dtypes.float32) is dtypes.float64
+        assert dtypes.result_dtype(dtypes.int64, dtypes.float32) is dtypes.float64
+        assert dtypes.result_dtype(dtypes.bool_, dtypes.int32) is dtypes.int32
         assert dtypes.result_dtype(dtypes.bool_, dtypes.int64) is dtypes.int64
         assert dtypes.result_dtype(dtypes.float32, dtypes.float64) is dtypes.float64
 

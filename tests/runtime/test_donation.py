@@ -1,19 +1,19 @@
-"""Feed-buffer donation: ``execute_flat(args, donate=True)``.
+"""Feed buffers belong to the caller: a plan never writes into them.
 
-The compile-time pass arms a step to write into a caller's feed buffer
-only under the ``inplace_no_alias`` discipline — the donor feed's last
-reader must finish strictly before the donating step (earlier step
-index AND earlier level), the feed must not itself be fetched, shapes
-and dtypes must match exactly, and each feed donates at most once.  At
-call time the donation silently falls back to fresh allocation when the
-caller's buffer is not a writeable non-aliased ndarray.
+Plans place intermediates in their own static arena
+(``tests/runtime/test_arena.py``); there is no path that hands a
+caller's input array to a kernel as ``out=``.  These tests pin that
+contract where it is most tempting to break: a feed that is dead before
+a ``MatMul`` runs, a fetched feed, read-only and aliased arguments,
+repeated and traced calls.  They also pin the two arena rules a
+``MatMul`` relies on: its output never shares a buffer with a value its
+own step reads, nor with a value of another shape.
 """
 
 import numpy as np
 
 from repro import framework as fw
 from repro.framework import ops
-from repro.observe.events import RECORDER
 from repro.runtime import BoundPlan, compile_plan
 
 
@@ -32,76 +32,57 @@ def _args(seed=0):
     return rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
 
 
-def _counters():
-    c = RECORDER.counters()
-    return (c.get("runtime.feed_donations", 0),
-            c.get("runtime.feed_donation_fallbacks", 0))
+def _buffer_of(plan, op_name):
+    """The arena buffer index of the step named ``op_name`` (or None)."""
+    for (_slot, _k, _locs, _single, name), (out, _temps) in zip(
+            plan.steps, plan.step_buffers):
+        if name == op_name:
+            return out
+    raise AssertionError(f"no step {op_name!r}")
 
 
 class TestCompileTimeArming:
-    def test_arms_dead_feed_for_no_alias_step(self):
-        g, x, w, h = _tanh_matmul()
-        plan = compile_plan(g, [h], [x, w])
-        assert plan.donate_steps is not None
-        assert len(plan.donated_feed_slots) == 1
-        # Exactly one step differs from the normal schedule: the armed
-        # one carries a donation tag where its normal twin has None.
-        armed = [
-            (normal, donor) for normal, donor
-            in zip(plan.steps, plan.donate_steps)
-            if (normal[5] is None) != (donor[5] is None)
-        ]
-        assert len(armed) == 1
-        assert armed[0][0][4] == "MatMul"
-
     def test_feed_consumed_by_the_step_itself_never_arms(self):
-        # inplace_no_alias means the output must not alias any input of
-        # the same step — a feed read BY the candidate step is alive, so
-        # matmul(a, b) has no donatable feed.
+        # MatMul's BLAS out= must not alias an operand: the value its
+        # own step reads is alive, so its buffer is never the output's,
+        # even though it dies right there.
         g = fw.Graph()
         with g.as_default():
             a = ops.placeholder(fw.float64, [8, 8], name="a")
             b = ops.placeholder(fw.float64, [8, 8], name="b")
-            y = ops.matmul(a, b)
-        plan = compile_plan(g, [y], [a, b])
-        assert plan.donate_steps is None
-        assert plan.donated_feed_slots == ()
+            y = ops.tanh(ops.matmul(ops.tanh(a), b))
+        plan = compile_plan(g, [y], [a, b], fuse=False)
+        t, mm = _buffer_of(plan, "Tanh"), _buffer_of(plan, "MatMul")
+        assert t is not None and mm is not None and t != mm
+        aa, ba = _args(5)
+        out = BoundPlan(plan, [a, b]).execute_flat([aa, ba])[0]
+        np.testing.assert_allclose(out, np.tanh(np.tanh(aa) @ ba))
 
     def test_fetched_feed_is_never_donated(self):
         # The caller gets the feed back as an output; clobbering it
         # would corrupt the fetch.
         g, x, w, h = _tanh_matmul()
         plan = compile_plan(g, [h, x], [x, w])
-        assert plan.donated_feed_slots == ()
+        xa, wa = _args(7)
+        keep = xa.copy()
+        out, x_back = BoundPlan(plan, [x, w]).execute_flat([xa, wa])
+        np.testing.assert_array_equal(x_back, keep)
+        np.testing.assert_array_equal(xa, keep)
+        np.testing.assert_allclose(out, np.tanh(keep) @ wa)
 
     def test_shape_mismatch_disqualifies(self):
         g = fw.Graph()
         with g.as_default():
             x = ops.placeholder(fw.float64, [8, 4], name="x")
             w = ops.placeholder(fw.float64, [4, 8], name="w")
-            h = ops.matmul(ops.tanh(x), w)  # (8, 8): matches neither feed
-        plan = compile_plan(g, [h], [x, w])
-        assert plan.donated_feed_slots == ()
+            h = ops.tanh(ops.matmul(ops.tanh(x), w))  # (8, 4) -> (8, 8)
+        plan = compile_plan(g, [h], [x, w], fuse=False)
+        t, mm = _buffer_of(plan, "Tanh"), _buffer_of(plan, "MatMul")
+        assert t is not None and mm is not None and t != mm
+        assert plan.arena[t][0] == (8, 4) and plan.arena[mm][0] == (8, 8)
 
 
 class TestCallTimeDonation:
-    def test_donated_run_writes_into_the_feed_buffer(self):
-        g, x, w, h = _tanh_matmul()
-        bp = BoundPlan(compile_plan(g, [h], [x, w]), [x, w])
-        xa, wa = _args()
-        expected = np.tanh(xa) @ wa
-        d0, _f0 = _counters()
-        out = bp.execute_flat([xa.copy(), wa], donate=True)
-        fresh = out[0]
-        assert fresh is not xa
-        donated_in = xa.copy()
-        out2 = bp.execute_flat([donated_in, wa], donate=True)
-        assert out2[0] is donated_in
-        np.testing.assert_allclose(out2[0], expected)
-        np.testing.assert_allclose(fresh, expected)
-        d1, _f1 = _counters()
-        assert d1 >= d0 + 2
-
     def test_default_call_never_donates(self):
         g, x, w, h = _tanh_matmul()
         bp = BoundPlan(compile_plan(g, [h], [x, w]), [x, w])
@@ -113,20 +94,18 @@ class TestCallTimeDonation:
         np.testing.assert_array_equal(xa, _args(1)[0])
 
     def test_readonly_buffer_falls_back(self):
+        # A read-only input is fine: the plan only ever reads feeds.
         g, x, w, h = _tanh_matmul()
         bp = BoundPlan(compile_plan(g, [h], [x, w]), [x, w])
         xa, wa = _args(2)
         xa.flags.writeable = False
-        _d0, f0 = _counters()
-        out = bp.execute_flat([xa, wa], donate=True)
+        out = bp.execute_flat([xa, wa])
         assert out[0] is not xa
         np.testing.assert_allclose(out[0], np.tanh(xa) @ wa)
-        _d1, f1 = _counters()
-        assert f1 == f0 + 1
 
     def test_aliased_args_fall_back(self):
-        # The same buffer fed twice: donating would corrupt the other
-        # argument mid-plan.
+        # The same buffer fed twice: writing into either would corrupt
+        # the other argument mid-plan.
         g = fw.Graph()
         with g.as_default():
             x = ops.placeholder(fw.float64, [8, 8], name="x")
@@ -134,49 +113,36 @@ class TestCallTimeDonation:
             h = ops.matmul(ops.tanh(x), w)
         bp = BoundPlan(compile_plan(g, [h], [x, w]), [x, w])
         same = _args(3)[0]
-        _d0, f0 = _counters()
-        out = bp.execute_flat([same, same], donate=True)
+        keep = same.copy()
+        out = bp.execute_flat([same, same])
         assert out[0] is not same
-        np.testing.assert_allclose(out[0], np.tanh(same) @ same)
-        _d1, f1 = _counters()
-        assert f1 == f0 + 1
-
-    def test_donate_on_unarmed_plan_is_a_silent_noop(self):
-        g = fw.Graph()
-        with g.as_default():
-            a = ops.placeholder(fw.float64, [8, 8], name="a")
-            b = ops.placeholder(fw.float64, [8, 8], name="b")
-            y = ops.matmul(a, b)
-        bp = BoundPlan(compile_plan(g, [y], [a, b]), [a, b])
-        aa, ba = _args(4)
-        d0, f0 = _counters()
-        out = bp.execute_flat([aa, ba], donate=True)
-        assert out[0] is not aa and out[0] is not ba
-        np.testing.assert_allclose(out[0], aa @ ba)
-        assert _counters() == (d0, f0)  # neither counter moves
+        np.testing.assert_array_equal(same, keep)
+        np.testing.assert_allclose(out[0], np.tanh(keep) @ keep)
 
     def test_repeated_donated_calls_stay_correct(self):
-        # The armed schedule must not leak state between calls: each
-        # call donates its own caller buffer.
+        # The arena is reused across calls; no call's inputs or results
+        # leak into the next.
         g, x, w, h = _tanh_matmul()
         bp = BoundPlan(compile_plan(g, [h], [x, w]), [x, w])
+        results = []
         for seed in range(5):
             xa, wa = _args(seed)
-            expected = np.tanh(xa) @ wa
-            out = bp.execute_flat([xa, wa], donate=True)
-            assert out[0] is xa
-            np.testing.assert_allclose(out[0], expected)
+            out = bp.execute_flat([xa, wa])
+            assert out[0] is not xa
+            results.append((out[0], np.tanh(xa) @ wa))
+        for got, expected in results:
+            np.testing.assert_allclose(got, expected)
 
     def test_traced_execution_reports_donated_steps(self):
-        # The observe layer sees the donate schedule, not the normal
-        # one: per-step spans still cover every step.
+        # Per-step spans cover every step of the traced call.
         import repro.observe as observe
 
         g, x, w, h = _tanh_matmul()
         bp = BoundPlan(compile_plan(g, [h], [x, w]), [x, w])
         xa, wa = _args(6)
         with observe.profile() as timeline:
-            out = bp.execute_flat([xa, wa], donate=True)
-        assert out[0] is xa
+            out = bp.execute_flat([xa, wa])
+        assert out[0] is not xa
+        np.testing.assert_allclose(out[0], np.tanh(xa) @ wa)
         names = [s.name for s in timeline.query(cat="step")]
         assert "Tanh" in names and "MatMul" in names

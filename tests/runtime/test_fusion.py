@@ -8,7 +8,7 @@ The contract under test (see ``repro/runtime/fusion.py``):
 - fetched or multi-consumer intermediates block fusion edges;
 - constant pre-evaluation runs *before* fusion, so a chain split by a
   foldable Const subtree still fuses end to end;
-- fused steps keep level parallelism, buffer donation and blocked
+- fused steps keep level parallelism, the memory arena and blocked
   lowering working;
 - the ``fuse=`` knob threads through ``compile_plan`` / ``Session`` /
   ``@repro.function``;
@@ -19,7 +19,7 @@ The contract under test (see ``repro/runtime/fusion.py``):
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import repro
@@ -33,10 +33,9 @@ def _fused_step_names(plan):
     return [s[4] for s in plan.steps if s[4].startswith("fused[")]
 
 
-def _run(plan, feed_tensors, feed_vals, donate=False, scheduler=None):
+def _run(plan, feed_tensors, feed_vals, scheduler=None):
     bound = BoundPlan(plan, list(feed_tensors), scheduler)
-    return bound.execute_flat([np.copy(v) for v in feed_vals],
-                              donate=donate)
+    return bound.execute_flat([np.copy(v) for v in feed_vals])
 
 
 def _assert_bitwise_equal(got, want):
@@ -198,114 +197,124 @@ def _feed_value(rng, shape, dtype):
     return rng.standard_normal(shape).astype(dtype)
 
 
+@st.composite
+def _random_dags(draw):
+    """A random elementwise DAG as plain data: feed ``(shape, dtype)``s,
+    scalar constants, ``(unary?, table index, operand node indices)``
+    per op (nodes are feeds, then constants, then ops), one extra
+    fetched node, and the seed of the feed values."""
+    feeds = draw(st.lists(
+        st.tuples(st.sampled_from(_SHAPES), st.sampled_from(_DTYPES)),
+        min_size=1, max_size=3))
+    consts = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, -1.5]),
+                           max_size=2))
+    # Probes of the right dtype/shape weed out invalid combos (boolean
+    # subtract, ...) while drawing.
+    probes = [np.ones(s, d) for s, d in feeds] + [np.float32(c)
+                                                  for c in consts]
+    dag_ops = []
+    for _ in range(draw(st.integers(2, 12))):
+        unary = draw(st.booleans())
+        table = _UNARY if unary else _BINARY
+        k = draw(st.integers(0, len(table) - 1))
+        args = tuple(draw(st.integers(0, len(probes) - 1))
+                     for _ in range(1 if unary else 2))
+        try:
+            with np.errstate(all="ignore"):
+                probes.append(table[k][1](*(probes[a] for a in args)))
+        except Exception:
+            continue
+        dag_ops.append((unary, k, args))
+    return {"feeds": feeds, "consts": consts, "ops": dag_ops,
+            "fetch": draw(st.integers(0, len(probes) - 1)),
+            "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+#: x: f32[3,4], i: i32[3,4], out = i + (x + x), fetched alone.  Static
+#: inference once said float32 here while NumPy computes float64, so an
+#: unfused plan wrote the result into a float32 buffer.
+_INT_PLUS_FLOAT = {"feeds": [((3, 4), np.float32), ((3, 4), np.int32)],
+                   "consts": [], "ops": [(False, 0, (0, 0)),
+                                         (False, 0, (1, 2))],
+                   "fetch": 3, "seed": 0}
+
+
+@example(_INT_PLUS_FLOAT)
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_fused_matches_unfused_on_random_dags(data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+@given(_random_dags())
+def test_fused_matches_unfused_on_random_dags(dag):
+    rng = np.random.default_rng(dag["seed"])
     g = fw.Graph()
-    feeds, feed_vals = [], []
+    feeds, feed_vals, nodes, values = [], [], [], []
     with g.as_default():
-        nodes, values = [], []
-        for _ in range(data.draw(st.integers(1, 3))):
-            shape = data.draw(st.sampled_from(_SHAPES))
-            dtype = data.draw(st.sampled_from(_DTYPES))
-            ph = ops.placeholder(fw.as_dtype(dtype), list(shape))
-            v = _feed_value(rng, shape, dtype)
-            feeds.append(ph)
-            feed_vals.append(v)
-            nodes.append(ph)
-            values.append(v)
-        # Sprinkle scalar constants so Const folding/inlining is hit.
-        for _ in range(data.draw(st.integers(0, 2))):
-            c = float(data.draw(st.sampled_from([0.5, 1.0, 2.0, -1.5])))
+        for shape, dtype in dag["feeds"]:
+            feeds.append(ops.placeholder(fw.as_dtype(dtype), list(shape)))
+            feed_vals.append(_feed_value(rng, shape, dtype))
+        nodes += feeds
+        values += feed_vals
+        # Scalar constants so Const folding/inlining is hit.
+        for c in dag["consts"]:
             nodes.append(ops.constant(np.float32(c)))
             values.append(np.float32(c))
-        for _ in range(data.draw(st.integers(2, 12))):
-            if data.draw(st.booleans()):
-                op, npf = data.draw(st.sampled_from(_UNARY))
-                idx = data.draw(st.integers(0, len(nodes) - 1))
-                picks, vals = [nodes[idx]], [values[idx]]
-            else:
-                op, npf = data.draw(st.sampled_from(_BINARY))
-                i = data.draw(st.integers(0, len(nodes) - 1))
-                j = data.draw(st.integers(0, len(nodes) - 1))
-                picks, vals = [nodes[i], nodes[j]], [values[i], values[j]]
-            try:
-                with np.errstate(all="ignore"):
-                    expect = npf(*vals)
-            except Exception:
-                continue  # e.g. boolean subtract: skip invalid combos
-            nodes.append(op(*picks))
-            values.append(expect)
+        for unary, k, args in dag["ops"]:
+            op, npf = (_UNARY if unary else _BINARY)[k]
+            nodes.append(op(*(nodes[a] for a in args)))
+            with np.errstate(all="ignore"):
+                values.append(npf(*(values[a] for a in args)))
         # Fetch the last node plus a random (possibly interior) one —
         # fetched intermediates must block fusion, not corrupt results.
-        extra = data.draw(st.integers(0, len(nodes) - 1))
-        fetches = [nodes[-1], nodes[extra]]
+        fetch_idx = [len(nodes) - 1, dag["fetch"]]
+        fetches = [nodes[i] for i in fetch_idx]
 
     fused = compile_plan(g, fetches, feeds)
     unfused = compile_plan(g, fetches, feeds, fuse=False)
     assert len(fused.steps) <= len(unfused.steps)
-    _assert_bitwise_equal(
-        _run(fused, feeds, feed_vals), _run(unfused, feeds, feed_vals))
+    with np.errstate(all="ignore"):
+        got = _run(fused, feeds, feed_vals)
+        _assert_bitwise_equal(got, _run(unfused, feeds, feed_vals))
+    _assert_bitwise_equal(got, [values[i] for i in fetch_idx])
 
 
 # ---------------------------------------------------------------------------
-# Fusion × donation
+# Fusion × the arena
 # ---------------------------------------------------------------------------
 
 
 def test_fused_output_is_donated_to_no_alias_consumer():
-    """A fused step's output is fresh — MatMul's dead-pool discipline
-    may claim its buffer."""
+    """A fused step's output is fresh and proven — it takes an arena
+    buffer that MatMul then reads."""
     g = fw.Graph()
     with g.as_default():
         x = ops.placeholder(fw.float32, [8, 8])
         h = ops.tanh(ops.add(ops.multiply(x, x), 1.0))
         y = ops.matmul(h, h)
     plan = compile_plan(g, [y], [x])
-    names = [s[4] for s in plan.steps]
-    assert any(n.startswith("fused[") for n in names)
+    fused = [i for i, s in enumerate(plan.steps) if s[4].startswith("fused[")]
+    assert len(fused) == 1
+    assert plan.step_buffers[fused[0]][0] is not None
     unfused = compile_plan(g, [y], [x], fuse=False)
     v = np.linspace(-1, 1, 64, dtype=np.float32).reshape(8, 8)
     _assert_bitwise_equal(_run(plan, [x], [v]), _run(unfused, [x], [v]))
 
 
 def test_fused_step_takes_a_dying_input_buffer():
-    """A single-consumer fresh intermediate feeding a fused step is
-    donated to the fused step's out= variant (alias-tolerant)."""
+    """A fused member may write into the arena buffer of the external
+    input it is the last reader of (ufuncs tolerate that alias)."""
     g = fw.Graph()
     with g.as_default():
         x = ops.placeholder(fw.float32, [8, 8])
-        h = ops.matmul(x, x)          # fresh, single-consumer
+        h = ops.matmul(x, x)          # arena-backed, single consumer
         t = ops.tanh(h)
         y = ops.exp(ops.negative(t))
     plan = compile_plan(g, [y], [x])
-    fused_steps = [s for s in plan.steps if s[4].startswith("fused[")]
-    assert len(fused_steps) == 1
-    inplace = fused_steps[0][5]
-    assert inplace is not None  # armed with the MatMul output's buffer
+    names = [s[4] for s in plan.steps]
+    assert names == ["MatMul", "fused[tanh+neg+exp]"]
+    mm_buf = plan.step_buffers[0][0]
+    assert mm_buf is not None
+    assert plan.step_buffers[1] == (None, (mm_buf,))  # fetched root
     unfused = compile_plan(g, [y], [x], fuse=False)
     v = np.linspace(-1, 1, 64, dtype=np.float32).reshape(8, 8)
     _assert_bitwise_equal(_run(plan, [x], [v]), _run(unfused, [x], [v]))
-
-
-def test_fusion_with_feed_donation_opt_in():
-    """``execute_flat(donate=True)`` still matches the unfused plan."""
-    g = fw.Graph()
-    with g.as_default():
-        x = ops.placeholder(fw.float32, [8, 8])
-        w = ops.placeholder(fw.float32, [8, 8])
-        h = ops.tanh(ops.add(ops.multiply(x, 0.5), 1.0))
-        y = ops.matmul(h, w)
-    plan = compile_plan(g, [y], [x, w])
-    unfused = compile_plan(g, [y], [x, w], fuse=False)
-    rng = np.random.default_rng(3)
-    xv = rng.standard_normal((8, 8)).astype(np.float32)
-    wv = rng.standard_normal((8, 8)).astype(np.float32)
-    want = _run(unfused, [x, w], [xv, wv])
-    _assert_bitwise_equal(_run(plan, [x, w], [xv, wv], donate=True), want)
-    # And the originals were not needed after the call — rerun fresh.
-    _assert_bitwise_equal(_run(plan, [x, w], [xv, wv], donate=False), want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Level-parallel plan execution and the no-alias donation discipline.
+"""Level-parallel plan execution and the arena's level rule.
 
 ``compile_plan`` now buckets steps into wavefront levels (every step's
 data, control and stateful-order dependencies live in strictly earlier
@@ -7,9 +7,10 @@ scheduler.  These tests pin the two properties that make that safe:
 
 - scheduling never changes results (levels respect all three dependency
   kinds, and the fixed combination trees make the math order-free);
-- ``inplace_no_alias`` donation (MatMul's BLAS ``out=``) only takes
-  buffers whose last use is in a strictly earlier *level*, so a
-  concurrently-running sibling step can never observe the overwrite.
+- an arena buffer only passes to a new value (here: MatMul's BLAS
+  ``out=``) once its previous occupant's last use is in a strictly
+  earlier *level*, so a concurrently-running sibling step can never
+  observe the overwrite.
 """
 
 import numpy as np
@@ -116,24 +117,33 @@ class TestParallelExecution:
                                    rtol=1e-6)
 
 
+def _buffers(plan):
+    """``{step name: arena buffer of its output}``."""
+    return {s[4]: out for s, (out, _t) in zip(plan.steps, plan.step_buffers)}
+
+
 class TestNoAliasDonation:
     def test_matmul_reuses_a_dead_buffer(self):
         g = fw.Graph()
         with g.as_default():
             x = ops.placeholder(fw.float32, [8, 8])
-            # `dead` is consumed by `h` and never again; its buffer has
-            # matmul's output shape/dtype and dies a level before it.
-            dead = ops.multiply(x, 2.0)
-            h = ops.tanh(dead)
-            y = ops.matmul(h, h)
+            # `m1` is read only by `m2`: its buffer dies a level before
+            # `m3` runs and has `m3`'s shape/dtype.  `m2` cannot take a
+            # buffer its own step reads (BLAS out= must not alias).
+            m1 = ops.matmul(x, x)
+            m2 = ops.matmul(m1, m1)
+            m3 = ops.matmul(m2, m2)
+            y = ops.exp(m3)
         plan = _plan_for(y, [x])
-        donations = [s[5] for s in plan.steps if s[5] is not None]
-        assert donations, "expected at least one in-place reuse record"
+        bufs = _buffers(plan)
+        assert None not in (bufs["MatMul"], bufs["MatMul_1"])
+        assert bufs["MatMul"] == bufs["MatMul_2"] != bufs["MatMul_1"]
         rng = np.random.default_rng(1)
         feed = rng.standard_normal((8, 8)).astype(np.float32)
         out = BoundPlan(plan, [x]).execute_flat([feed])[0]
-        expect = np.tanh(feed * 2.0) @ np.tanh(feed * 2.0)
-        np.testing.assert_allclose(out, expect, rtol=1e-5)
+        m = feed @ feed
+        m = m @ m
+        np.testing.assert_allclose(out, np.exp(m @ m), rtol=1e-5)
 
     def test_same_level_buffer_is_not_taken(self):
         g = fw.Graph()
@@ -141,23 +151,14 @@ class TestNoAliasDonation:
             x = ops.placeholder(fw.float32, [8, 8])
             h = ops.tanh(x)
             # Both consume only `h`: they land in the same level, so
-            # neither's input may be donated to the other's matmul.
+            # neither may take `h`'s buffer (nor each other's).
             left = ops.matmul(h, h)
             right = ops.multiply(h, 3.0)
             y = ops.add(left, right)
         plan = _plan_for(y, [x])
-        level_of = {}
-        for lv, level in enumerate(plan.levels):
-            for i in level:
-                level_of[i] = lv
-        for i, step in enumerate(plan.steps):
-            rec = step[5]
-            if rec is None or not isinstance(rec, tuple):
-                continue
-            donor_slot = rec[0]
-            producer = {s[0]: j for j, s in enumerate(plan.steps)}
-            if donor_slot in producer:
-                assert level_of[producer[donor_slot]] < level_of[i]
+        bufs = _buffers(plan)
+        assert None not in (bufs["Tanh"], bufs["MatMul"], bufs["Mul"])
+        assert len({bufs["Tanh"], bufs["MatMul"], bufs["Mul"]}) == 3
         rng = np.random.default_rng(2)
         feed = rng.standard_normal((8, 8)).astype(np.float32)
         with BlockScheduler(num_workers=4) as sched:

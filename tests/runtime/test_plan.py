@@ -1,10 +1,11 @@
 """Tests for ``repro.runtime.plan``: compilation-level optimizations.
 
-Covers the three plan-level rewrites the runtime performs on top of
-pruning — constant pre-evaluation, dead-step elision and output-buffer
-reuse — with an emphasis on the aliasing hazards buffer reuse must not
+Covers the plan-level rewrites the runtime performs on top of pruning —
+constant pre-evaluation, dead-step elision and the static memory arena —
+with an emphasis on the aliasing hazards arena buffers must not
 introduce (fetched intermediates, caller-owned feed arrays, baked
-constants shared across calls).
+constants shared across calls, alias-returning kernels).  The arena's
+own property suite lives in ``test_arena.py``.
 """
 
 import numpy as np
@@ -161,7 +162,7 @@ def test_randomized_constant_graphs_match_eager(data):
         np.testing.assert_allclose(out, ref[i], rtol=1e-5, atol=1e-5)
 
     # And repeated execution must be stable: pre-evaluated base values
-    # and donated buffers must not leak state across calls.
+    # and arena buffers must not leak state across calls.
     again = bound.execute_flat(feed_vals)
     for out, i in zip(again, fetch_idx):
         np.testing.assert_allclose(out, ref[i], rtol=1e-5, atol=1e-5)
@@ -184,12 +185,14 @@ def test_unfetched_branches_compile_to_no_steps():
 
 
 # ---------------------------------------------------------------------------
-# Buffer reuse
+# Arena buffers
 # ---------------------------------------------------------------------------
 
 
 def _inplace_steps(plan):
-    return [s for s in plan.steps if s[5] is not None]
+    """Steps whose output lives in an arena buffer."""
+    return [s for s, (out, _temps) in zip(plan.steps, plan.step_buffers)
+            if out is not None]
 
 
 def test_single_consumer_intermediate_is_donated():
@@ -198,9 +201,9 @@ def test_single_consumer_intermediate_is_donated():
         x = ops.placeholder(fw.float32, [8])
         t = ops.add(x, ops.constant(np.ones(8, np.float32)))
         y = ops.multiply(t, ops.constant(np.full(8, 2.0, np.float32)))
-    # Unfused: this pins the per-step donation pass (with fuse=True the
-    # add+mul chain collapses into one composite step that reuses the
-    # intermediate's buffer *inside* the generated kernel instead).
+    # Unfused: this pins the per-step arena (with fuse=True the add+mul
+    # chain collapses into one composite step whose temporary takes the
+    # arena buffer *inside* the generated kernel instead).
     plan = compile_plan(g, [y], [x], fuse=False)
     assert len(_inplace_steps(plan)) == 1
     bound = BoundPlan(plan, [x])
@@ -216,7 +219,7 @@ def test_fetched_intermediate_is_never_donated():
         t = ops.add(x, ops.constant(np.ones(4, np.float32)))
         y = ops.multiply(t, ops.constant(np.full(4, 10.0, np.float32)))
     plan = compile_plan(g, [y, t], [x])
-    # t has one consumer step, but it is fetched: no donation anywhere.
+    # t has one consumer step, but it is fetched; y is fetched too.
     assert _inplace_steps(plan) == []
     bound = BoundPlan(plan, [x])
     arg = np.zeros(4, np.float32)
@@ -248,8 +251,7 @@ def test_multi_consumer_intermediate_is_never_donated():
         y = ops.multiply(t, ops.constant(np.full(4, 2.0, np.float32)))
         z = ops.add(t, y)  # second consumer of t
     plan = compile_plan(g, [z], [x])
-    # y's multiply must not clobber t (still needed by z).  y itself is a
-    # single-consumer intermediate of z's add, which may be donated.
+    # y's multiply must not clobber t (still needed by z).
     bound = BoundPlan(plan, [x])
     arg = np.zeros(4, np.float32)
     np.testing.assert_allclose(bound.execute_flat([arg])[0], np.full(4, 3.0))
@@ -280,8 +282,8 @@ def test_chained_donation_is_correct_across_calls():
         h = x
         for _ in range(6):
             h = ops.tanh(ops.add(h, ops.constant(np.ones(16, np.float32))))
-    # Unfused: pins chained per-step donation (with fuse=True the whole
-    # tanh/add ladder compiles into one composite step).
+    # Unfused: pins chained per-step arena writes (with fuse=True the
+    # whole tanh/add ladder compiles into one composite step).
     plan = compile_plan(g, [h], [x], fuse=False)
     assert len(_inplace_steps(plan)) >= 5
     bound = BoundPlan(plan, [x])
@@ -296,8 +298,8 @@ def test_chained_donation_is_correct_across_calls():
 
 
 def test_alias_returning_kernel_output_is_never_donated():
-    """Identity returns its input array; donating its output would let
-    an in-place step write into the caller's feed buffer."""
+    """Identity returns its input array; placing its output in the
+    arena would let a later step write into the caller's feed buffer."""
     g = fw.Graph()
     with g.as_default():
         x = ops.placeholder(fw.float32, [4])
@@ -313,7 +315,7 @@ def test_alias_returning_kernel_output_is_never_donated():
 
 
 def test_variable_read_buffer_is_never_donated():
-    """A variable read returns the variable's live storage; donating it
+    """A variable read returns the variable's live storage; reusing it
     would let Session.run(v + 1) silently increment the variable."""
     v = fw.Variable(np.full((2, 2), 2.0, np.float32), name="donate_guard_v")
     g = fw.Graph()
