@@ -18,7 +18,7 @@ from repro.runtime import BoundPlan, compile_plan
 
 
 def _tanh_matmul():
-    """MatMul's donor (x) dies at level 0 (Tanh); MatMul runs level 1."""
+    """Feed x is dead after Tanh (level 0), before MatMul (level 1)."""
     g = fw.Graph()
     with g.as_default():
         x = ops.placeholder(fw.float64, [8, 8], name="x")

@@ -280,7 +280,7 @@ def test_fused_matches_unfused_on_random_dags(dag):
 # ---------------------------------------------------------------------------
 
 
-def test_fused_output_is_donated_to_no_alias_consumer():
+def test_fused_output_takes_an_arena_buffer():
     """A fused step's output is fresh and proven — it takes an arena
     buffer that MatMul then reads."""
     g = fw.Graph()

@@ -189,13 +189,13 @@ def test_unfetched_branches_compile_to_no_steps():
 # ---------------------------------------------------------------------------
 
 
-def _inplace_steps(plan):
+def _arena_steps(plan):
     """Steps whose output lives in an arena buffer."""
     return [s for s, (out, _temps) in zip(plan.steps, plan.step_buffers)
             if out is not None]
 
 
-def test_single_consumer_intermediate_is_donated():
+def test_single_consumer_intermediate_gets_an_arena_buffer():
     g = fw.Graph()
     with g.as_default():
         x = ops.placeholder(fw.float32, [8])
@@ -205,13 +205,13 @@ def test_single_consumer_intermediate_is_donated():
     # chain collapses into one composite step whose temporary takes the
     # arena buffer *inside* the generated kernel instead).
     plan = compile_plan(g, [y], [x], fuse=False)
-    assert len(_inplace_steps(plan)) == 1
+    assert len(_arena_steps(plan)) == 1
     bound = BoundPlan(plan, [x])
     arg = np.arange(8, dtype=np.float32)
     np.testing.assert_allclose(bound.execute_flat([arg])[0], (arg + 1) * 2)
 
 
-def test_fetched_intermediate_is_never_donated():
+def test_fetched_intermediate_is_never_arena_backed():
     """A fetch aliasing an intermediate must come back uncorrupted."""
     g = fw.Graph()
     with g.as_default():
@@ -220,7 +220,7 @@ def test_fetched_intermediate_is_never_donated():
         y = ops.multiply(t, ops.constant(np.full(4, 10.0, np.float32)))
     plan = compile_plan(g, [y, t], [x])
     # t has one consumer step, but it is fetched; y is fetched too.
-    assert _inplace_steps(plan) == []
+    assert _arena_steps(plan) == []
     bound = BoundPlan(plan, [x])
     arg = np.zeros(4, np.float32)
     got_y, got_t = bound.execute_flat([arg])
@@ -228,13 +228,13 @@ def test_fetched_intermediate_is_never_donated():
     np.testing.assert_allclose(got_y, np.full(4, 10.0))
 
 
-def test_feed_buffers_are_never_donated_or_mutated():
+def test_feed_buffers_are_never_arena_backed_or_mutated():
     g = fw.Graph()
     with g.as_default():
         x = ops.placeholder(fw.float32, [4])
         y = ops.add(x, ops.constant(np.ones(4, np.float32)))
     plan = _plan_for(y, [x])
-    assert _inplace_steps(plan) == []
+    assert _arena_steps(plan) == []
     bound = BoundPlan(plan, [x])
     arg = np.zeros(4, np.float32)
     out = bound.execute_flat([arg])[0]
@@ -243,7 +243,7 @@ def test_feed_buffers_are_never_donated_or_mutated():
     assert out is not arg
 
 
-def test_multi_consumer_intermediate_is_never_donated():
+def test_multi_consumer_intermediate_is_not_clobbered():
     g = fw.Graph()
     with g.as_default():
         x = ops.placeholder(fw.float32, [4])
@@ -257,7 +257,7 @@ def test_multi_consumer_intermediate_is_never_donated():
     np.testing.assert_allclose(bound.execute_flat([arg])[0], np.full(4, 3.0))
 
 
-def test_baked_constant_is_never_donated():
+def test_baked_constant_is_never_arena_backed():
     """Reusing a pre-evaluated constant's buffer would corrupt every
     later call (base values are shared across calls)."""
     g = fw.Graph()
@@ -267,7 +267,7 @@ def test_baked_constant_is_never_donated():
                     ops.constant(np.ones(4, np.float32)))  # pre-evaluated
         y = ops.multiply(c, x)
     plan = _plan_for(y, [x])
-    assert _inplace_steps(plan) == []
+    assert _arena_steps(plan) == []
     bound = BoundPlan(plan, [x])
     arg = np.full(4, 5.0, np.float32)
     np.testing.assert_allclose(bound.execute_flat([arg])[0], np.full(4, 10.0))
@@ -275,7 +275,7 @@ def test_baked_constant_is_never_donated():
     np.testing.assert_allclose(bound.execute_flat([arg])[0], np.full(4, 10.0))
 
 
-def test_chained_donation_is_correct_across_calls():
+def test_chained_arena_writes_are_correct_across_calls():
     g = fw.Graph()
     with g.as_default():
         x = ops.placeholder(fw.float32, [16])
@@ -285,7 +285,7 @@ def test_chained_donation_is_correct_across_calls():
     # Unfused: pins chained per-step arena writes (with fuse=True the
     # whole tanh/add ladder compiles into one composite step).
     plan = compile_plan(g, [h], [x], fuse=False)
-    assert len(_inplace_steps(plan)) >= 5
+    assert len(_arena_steps(plan)) >= 5
     bound = BoundPlan(plan, [x])
     arg = np.linspace(-1, 1, 16).astype(np.float32)
     expected = arg
@@ -297,7 +297,7 @@ def test_chained_donation_is_correct_across_calls():
                                rtol=1e-6)
 
 
-def test_alias_returning_kernel_output_is_never_donated():
+def test_alias_returning_kernel_output_is_never_arena_backed():
     """Identity returns its input array; placing its output in the
     arena would let a later step write into the caller's feed buffer."""
     g = fw.Graph()
@@ -306,7 +306,7 @@ def test_alias_returning_kernel_output_is_never_donated():
         t = ops.identity(x)
         y = ops.negative(t)
     plan = _plan_for(y, [x])
-    assert _inplace_steps(plan) == []
+    assert _arena_steps(plan) == []
     bound = BoundPlan(plan, [x])
     arg = np.ones(4, np.float32)
     out = bound.execute_flat([arg])[0]
@@ -314,10 +314,10 @@ def test_alias_returning_kernel_output_is_never_donated():
     np.testing.assert_allclose(arg, np.ones(4))  # caller's array intact
 
 
-def test_variable_read_buffer_is_never_donated():
+def test_variable_read_buffer_is_never_written():
     """A variable read returns the variable's live storage; reusing it
     would let Session.run(v + 1) silently increment the variable."""
-    v = fw.Variable(np.full((2, 2), 2.0, np.float32), name="donate_guard_v")
+    v = fw.Variable(np.full((2, 2), 2.0, np.float32), name="arena_guard_v")
     g = fw.Graph()
     with g.as_default():
         y = ops.add(v.value(), ops.constant(np.ones((2, 2), np.float32)))
@@ -327,7 +327,7 @@ def test_variable_read_buffer_is_never_donated():
     np.testing.assert_allclose(v.numpy(), np.full((2, 2), 2.0))
 
 
-def test_shape_mismatch_disables_donation():
+def test_broadcast_never_writes_into_the_smaller_input():
     """Broadcasting steps must not write into the smaller input."""
     g = fw.Graph()
     with g.as_default():
